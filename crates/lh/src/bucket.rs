@@ -7,14 +7,14 @@
 //! parity is on — stream slot deltas to their group's parity sites.
 
 use crate::cluster::{Directory, ParityConfig};
-use crate::drain::{fill_batch, SendQueue, Wakeup, IDLE_TICK};
 use crate::filter::ScanFilter;
 use crate::hash::h;
 use crate::index::PostingIndex;
 use crate::messages::{Op, OpResult, ScanMatch, Wire};
 use crate::parity::{slot_delta, slot_of};
-use sdds_net::{Endpoint, Envelope, SiteId};
-use sdds_obs::trace;
+use crate::site::Site;
+use sdds_net::SiteId;
+use sdds_obs::trace::{self, SpanGuard};
 use sdds_obs::Registry;
 use sdds_storage::{BatchOp, StorageEngine, StorageError, WriteBatch};
 use std::collections::HashMap;
@@ -87,9 +87,6 @@ pub(crate) struct BucketCtx {
     /// stays the cross-site aggregate while each site keeps its own
     /// breakdown.
     pub obs: Registry,
-    /// Messages the event loop dispatches per wakeup (see
-    /// [`crate::drain`]); 1 = historical single-message dispatch.
-    pub drain_budget: usize,
 }
 
 impl BucketState {
@@ -858,95 +855,47 @@ impl BucketState {
     }
 }
 
-/// Static span name for a message a bucket site handles.
-fn wire_span_name(msg: &Wire) -> &'static str {
-    match msg {
-        Wire::Request { .. } => "bucket.request",
-        Wire::ScanReq { .. } => "bucket.scan",
-        Wire::SplitCmd { .. } => "bucket.split",
-        Wire::MergeCmd { .. } => "bucket.merge",
-        Wire::TransferBatch { .. } => "bucket.transfer",
-        Wire::TransferAck { .. } => "bucket.transfer_ack",
-        Wire::SlotsRead { .. } => "bucket.slots_read",
-        Wire::Adopt { .. } => "bucket.adopt",
-        Wire::Dump { .. } => "bucket.dump",
-        _ => "bucket.msg",
-    }
+/// A bucket as a [`Site`]: its state plus the wiring it routes with.
+pub(crate) struct BucketSite {
+    pub state: BucketState,
+    pub ctx: BucketCtx,
 }
 
-/// The bucket thread loop: batch-drain, decode, dispatch, send, until
-/// [`Wire::Shutdown`].
-///
-/// Each wakeup blockingly receives one message, then greedily drains the
-/// inbox up to `ctx.drain_budget` before dispatching — amortizing the
-/// condvar roundtrip and per-wakeup metric sampling over the whole batch
-/// at high fan-in. A budget of 1 reproduces the historical
-/// one-message-per-wakeup loop exactly.
-pub(crate) fn run_bucket(endpoint: Endpoint, mut state: BucketState, ctx: BucketCtx) {
-    // a reopened bucket first rebuilds its volatile bookkeeping from the
-    // recovered records (and may immediately re-report an overflow)
-    let mut outbox = SendQueue::new();
-    for (to, out) in state.startup(&ctx) {
-        let payload = out.encode();
-        outbox.send(&endpoint, to, &out, payload, None);
+impl Site for BucketSite {
+    // A reopened bucket first rebuilds its volatile bookkeeping from the
+    // recovered records (and may immediately re-report an overflow).
+    fn startup(&mut self) -> Vec<(SiteId, Wire)> {
+        self.state.startup(&self.ctx)
     }
-    let budget = ctx.drain_budget.max(1);
-    let depth_gauge = ctx.obs.gauge("lh.inbox_depth");
-    let batch_hist = ctx.obs.histogram("lh.drain_batch_size");
-    let mut health = crate::health::LoopHealth::register(&ctx.obs);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
-    loop {
-        // While a rejected control-plane send (overflow report, transfer
-        // batch/ack, split completion) is parked, wake on an idle tick so
-        // batch draining can never delay it indefinitely: the retry fires
-        // within IDLE_TICK even if no new traffic arrives.
-        let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, budget, idle, &mut batch) {
-            Wakeup::Batch => {}
-            Wakeup::Idle => {
-                outbox.flush(&endpoint);
-                continue;
-            }
-            Wakeup::Disconnected => break,
+
+    fn handle(&mut self, from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        self.state.handle(from, msg, &self.ctx)
+    }
+
+    fn span_name(&self, msg: &Wire) -> &'static str {
+        match msg {
+            Wire::Request { .. } => "bucket.request",
+            Wire::ScanReq { .. } => "bucket.scan",
+            Wire::SplitCmd { .. } => "bucket.split",
+            Wire::MergeCmd { .. } => "bucket.merge",
+            Wire::TransferBatch { .. } => "bucket.transfer",
+            Wire::TransferAck { .. } => "bucket.transfer_ack",
+            Wire::SlotsRead { .. } => "bucket.slots_read",
+            Wire::Adopt { .. } => "bucket.adopt",
+            Wire::Dump { .. } => "bucket.dump",
+            _ => "bucket.msg",
         }
-        health.busy();
-        depth_gauge.set(endpoint.inbox_depth() as i64);
-        batch_hist.observe(batch.len() as f64);
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
-            }
-            // Child span under the sender's context (inert for untraced
-            // traffic). It is on this thread's span stack while `handle`
-            // runs, so inner spans (index probe vs linear scan) and the
-            // outgoing messages below — replies, forwards, transfer
-            // batches — all chain under it, giving forwarded requests one
-            // correctly-parented path per hop. Spans stay per-message
-            // under batching: causality is per operation, not per wakeup.
-            let mut span = trace::remote_span(wire_span_name(&msg), env.ctx);
-            span.set_site(state.addr as i64);
-            if let Wire::Request { hops, .. } = &msg {
-                span.set_detail(*hops as u64);
-            }
-            let out_ctx = span.context();
-            for (to, out) in state.handle(env.from, msg, &ctx) {
-                // A send can fail if the peer already shut down (fine
-                // during teardown) or be rejected by a full inbox — the
-                // outbox parks control-plane messages for retry.
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
-            }
+    }
+
+    fn label_span(&self, _me: SiteId, msg: &Wire, span: &mut SpanGuard) {
+        span.set_site(self.state.addr as i64);
+        if let Wire::Request { hops, .. } = msg {
+            span.set_detail(*hops as u64);
         }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
-        }
+    }
+
+    fn obs(&self) -> &Registry {
+        &self.ctx.obs
     }
 }
 
@@ -973,7 +922,6 @@ mod tests {
                 filter: Arc::new(SubstringFilter),
                 parity: None,
                 obs: Registry::new("bucket-test"),
-                drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
             },
             coord_id,
         )
@@ -1278,7 +1226,6 @@ mod tests {
                 slot_size: 32,
             }),
             obs: Registry::new("bucket-test"),
-            drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
         };
         let mut b = mem_bucket(0, 1, 100);
         // adopt a reconstructed slot table with a hole at rank 1
@@ -1451,7 +1398,6 @@ mod tests {
                 slot_size: 32,
             }),
             obs: Registry::new("bucket-test"),
-            drain_budget: crate::drain::DEFAULT_DRAIN_BUDGET,
         };
         let mut b = mem_bucket(2, 2, 100);
         let check = |b: &BucketState, step: &str| {

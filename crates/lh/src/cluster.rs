@@ -1,21 +1,21 @@
 //! The cluster facade: spawns sites, wires the directory, manages
 //! lifecycle, and exposes LH\*<sub>RS</sub> recovery.
 
-use crate::bucket::{run_bucket, BucketCtx, BucketState};
+use crate::bucket::{BucketCtx, BucketSite, BucketState};
 use crate::client::{LhClient, LhError};
-use crate::coordinator::{run_coordinator, BucketSpawner};
+use crate::coordinator::CoordinatorState;
 use crate::filter::{ScanFilter, SubstringFilter};
 use crate::hash::{address, ClientImage};
 use crate::messages::{ParityRow, Wire};
-use crate::parity::{reconstruct_member, run_parity, ParityState};
+use crate::parity::{reconstruct_member, ParityState};
+use crate::site::Sites;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId};
 use sdds_storage::{MemEngine, StorageConfig, StorageEngine, WriteBatch};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Maps bucket addresses and parity groups to network sites. The LH\*
@@ -246,63 +246,49 @@ pub struct LhCluster {
     directory: Arc<Directory>,
     coordinator: SiteId,
     config: ClusterConfig,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    /// Sites that accept [`Wire::Shutdown`].
-    shutdown_sites: Arc<Mutex<Vec<SiteId>>>,
-    spawner: Mutex<BucketSpawner>,
+    sites: Arc<Sites>,
+    builder: Arc<SiteBuilder>,
 }
 
 impl LhCluster {
-    /// Starts a cluster with one bucket and its coordinator.
-    pub fn start(config: ClusterConfig) -> LhCluster {
+    /// A cluster with its coordinator running and no bucket yet.
+    fn boot(config: ClusterConfig) -> LhCluster {
         let network = Network::new(config.net.clone());
         let directory = Arc::new(Directory::new());
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown_sites: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-
+        let sites = Sites::new(config.drain_budget);
         let coordinator_ep = network.register();
         let coordinator = coordinator_ep.id();
-        shutdown_sites.lock().push(coordinator);
-
-        let mut spawner = make_spawner(
+        let builder = Arc::new(SiteBuilder::new(
             &network,
+            &sites,
             &directory,
             &config,
             coordinator,
-            &handles,
-            &shutdown_sites,
+        ));
+        let spawner = builder.clone();
+        sites.spawn_coordinator(
+            coordinator_ep,
+            CoordinatorState::new(
+                Box::new(move |addr, level| spawner.spawn(addr, level)),
+                directory.clone(),
+            ),
         );
-        // bucket 0 — the primordial file
-        spawner(0, 0);
-
-        // the coordinator gets its own spawner instance
-        let coord_spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let dir = directory.clone();
-        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let budget = config.drain_budget;
-        let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup, budget)
-        });
-        handles.lock().push(h);
-
         LhCluster {
             network,
             directory,
             coordinator,
             config,
-            handles,
-            shutdown_sites,
-            spawner: Mutex::new(spawner),
+            sites,
+            builder,
         }
+    }
+
+    /// Starts a cluster with one bucket and its coordinator.
+    pub fn start(config: ClusterConfig) -> LhCluster {
+        let cluster = LhCluster::boot(config);
+        // bucket 0 — the primordial file
+        cluster.builder.spawn(0, 0);
+        cluster
     }
 
     /// Reopens a durable file from the bucket directories under the
@@ -383,49 +369,15 @@ impl LhCluster {
         // release the WAL handles before the bucket sites reopen them
         drop(engines);
 
-        let network = Network::new(config.net.clone());
-        let directory = Arc::new(Directory::new());
-        let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown_sites: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let coordinator_ep = network.register();
-        let coordinator = coordinator_ep.id();
-        shutdown_sites.lock().push(coordinator);
-
-        let builder = SiteBuilder::new(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let coord_spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let dir = directory.clone();
-        let retirer = Box::new(move |addr: u64| dir.clear_bucket(addr));
-        let budget = config.drain_budget;
-        let h = std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, coord_spawner, retirer, lookup, budget)
-        });
-        handles.lock().push(h);
-
+        let cluster = LhCluster::boot(config);
         // The coordinator must adopt the derived file state before any
         // recovered bucket can report an overflow; mailbox delivery is
         // FIFO, so sending this before the bucket threads exist
         // guarantees it.
-        let control = network.register();
+        let control = cluster.network.register();
         send_control(
             &control,
-            coordinator,
+            cluster.coordinator,
             Wire::AdoptFileState { level, split }.encode(),
         )?;
 
@@ -434,29 +386,13 @@ impl LhCluster {
         // can trigger a split whose victim the coordinator looks up in the
         // directory — launching as we register would race that lookup
         // against the rest of this loop.
-        let endpoints: Vec<(u64, Endpoint)> =
-            (0..n).map(|addr| (addr, builder.register(addr))).collect();
+        let endpoints: Vec<(u64, Endpoint)> = (0..n)
+            .map(|addr| (addr, cluster.builder.register(addr)))
+            .collect();
         for (addr, ep) in endpoints {
-            builder.launch(addr, bucket_level(addr, image), ep);
+            cluster.builder.launch(addr, bucket_level(addr, image), ep);
         }
-        let spawner = make_spawner(
-            &network,
-            &directory,
-            &config,
-            coordinator,
-            &handles,
-            &shutdown_sites,
-        );
-
-        Ok(LhCluster {
-            network,
-            directory,
-            coordinator,
-            config,
-            handles,
-            shutdown_sites,
-            spawner: Mutex::new(spawner),
-        })
+        Ok(cluster)
     }
 
     /// Registers a new client of the file.
@@ -610,7 +546,7 @@ impl LhCluster {
         // 5. spawn a fresh site and adopt at the level the true file
         // state implies.
         let level = bucket_level(addr, extent);
-        let site = (self.spawner.lock())(addr, level);
+        let site = self.builder.spawn(addr, level);
         send_control(&control, site, Wire::Adopt { addr, level, slots }.encode())?;
         Ok(())
     }
@@ -708,16 +644,13 @@ impl LhCluster {
             }
             .encode(),
         )?;
-        {
-            let mut spawner = cluster.spawner.lock();
-            for b in &snapshot.buckets {
-                if b.addr > 0 {
-                    spawner(b.addr, b.level);
-                }
+        for b in &snapshot.buckets {
+            if b.addr > 0 {
+                cluster.builder.spawn(b.addr, b.level);
             }
         }
         for b in &snapshot.buckets {
-            // lint: allow(panic-freedom) -- the spawner loop directly above registered every snapshot bucket
+            // lint: allow(panic-freedom) -- the spawn loop directly above registered every snapshot bucket
             let site = cluster.directory.bucket_site(b.addr).expect("just spawned");
             send_control(
                 &control,
@@ -735,17 +668,7 @@ impl LhCluster {
 
     /// Stops every site thread and joins them.
     pub fn shutdown(self) {
-        let control = self.network.register();
-        for site in self.shutdown_sites.lock().drain(..) {
-            let _ = send_control(&control, site, Wire::Shutdown.encode());
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.handles.lock();
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        self.sites.shutdown(&self.network.register());
     }
 }
 
@@ -784,38 +707,37 @@ fn bucket_level(addr: u64, image: ClientImage) -> u8 {
 /// complete first.
 pub(crate) struct SiteBuilder {
     network: Network,
+    sites: Arc<Sites>,
     directory: Arc<Directory>,
     capacity: usize,
     parity: Option<ParityConfig>,
     filter: Arc<dyn ScanFilter>,
     storage: StorageConfig,
-    drain_budget: usize,
     coordinator: SiteId,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_sites: Arc<Mutex<Vec<SiteId>>>,
 }
 
 impl SiteBuilder {
     pub(crate) fn new(
         network: &Network,
+        sites: &Arc<Sites>,
         directory: &Arc<Directory>,
         config: &ClusterConfig,
         coordinator: SiteId,
-        handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-        shutdown_sites: &Arc<Mutex<Vec<SiteId>>>,
     ) -> SiteBuilder {
         SiteBuilder {
             network: network.clone(),
+            sites: sites.clone(),
             directory: directory.clone(),
             capacity: config.bucket_capacity,
             parity: config.parity,
             filter: config.filter.clone(),
             storage: config.storage.clone(),
-            drain_budget: config.drain_budget,
             coordinator,
-            handles: handles.clone(),
-            shutdown_sites: shutdown_sites.clone(),
         }
+    }
+
+    pub(crate) fn network(&self) -> &Network {
+        &self.network
     }
 
     /// Registers the bucket's endpoint and directory entry (and, lazily,
@@ -828,7 +750,6 @@ impl SiteBuilder {
                 for p in 0..cfg.parity_count {
                     let ep = self.network.register();
                     sites.push(ep.id());
-                    self.shutdown_sites.lock().push(ep.id());
                     let state = ParityState::new(
                         group,
                         p as u32,
@@ -836,23 +757,20 @@ impl SiteBuilder {
                         cfg.parity_count,
                         cfg.slot_size,
                     );
-                    let budget = self.drain_budget;
-                    self.handles
-                        .lock()
-                        .push(std::thread::spawn(move || run_parity(ep, state, budget)));
+                    self.sites.spawn(ep, state);
                 }
                 self.directory.set_parity(group, sites);
             }
         }
         let ep = self.network.register();
         self.directory.set_bucket(addr, ep.id());
-        self.shutdown_sites.lock().push(ep.id());
         ep
     }
 
     /// Opens the bucket's storage engine and starts its site thread on a
-    /// previously registered endpoint.
-    pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint) {
+    /// previously registered endpoint. Returns `false` when the site set
+    /// is already shutting down and refused the bucket.
+    pub(crate) fn launch(&self, addr: u64, level: u8, ep: Endpoint) -> bool {
         let ctx = BucketCtx {
             directory: self.directory.clone(),
             coordinator: self.coordinator,
@@ -865,7 +783,6 @@ impl SiteBuilder {
                 format!("bucket-{addr}"),
                 sdds_obs::Registry::global(),
             ),
-            drain_budget: self.drain_budget,
         };
         // A spawner cannot report failure (it runs inside the
         // coordinator's split path); if durable storage cannot open,
@@ -882,36 +799,14 @@ impl SiteBuilder {
             self.filter.index_element_bytes(),
             engine,
         );
-        self.handles
-            .lock()
-            .push(std::thread::spawn(move || run_bucket(ep, state, ctx)));
+        self.sites.spawn(ep, BucketSite { state, ctx })
     }
 
+    /// Registers and launches bucket `addr` on the in-process transport.
     fn spawn(&self, addr: u64, level: u8) -> SiteId {
         let ep = self.register(addr);
         let site = ep.id();
         self.launch(addr, level, ep);
         site
     }
-}
-
-/// Builds the closure that materialises bucket sites (and, lazily, their
-/// group's parity sites).
-fn make_spawner(
-    network: &Network,
-    directory: &Arc<Directory>,
-    config: &ClusterConfig,
-    coordinator: SiteId,
-    handles: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown_sites: &Arc<Mutex<Vec<SiteId>>>,
-) -> BucketSpawner {
-    let builder = SiteBuilder::new(
-        network,
-        directory,
-        config,
-        coordinator,
-        handles,
-        shutdown_sites,
-    );
-    Box::new(move |addr: u64, level: u8| builder.spawn(addr, level))
 }

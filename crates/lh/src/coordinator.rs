@@ -6,18 +6,22 @@
 //! the split victim is `n`, not the overflowing bucket. One split runs at a
 //! time; further overflow reports queue.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup, IDLE_TICK};
+use crate::cluster::Directory;
 use crate::hash::extent;
 use crate::messages::Wire;
-use sdds_net::{Endpoint, Envelope, SiteId};
+use crate::site::Site;
+use sdds_net::SiteId;
+use sdds_obs::Registry;
+use std::sync::Arc;
 
 /// Callback that materialises a new bucket site (registers the endpoint,
 /// spawns its thread, updates the directory) and returns its address.
 pub(crate) type BucketSpawner = Box<dyn FnMut(u64, u8) -> SiteId + Send>;
 
-/// Callback that retires a bucket address from the directory (merge).
-pub(crate) type BucketRetirer = Box<dyn FnMut(u64) + Send>;
-
+/// The coordinator site. Split and merge commands rejected by a full
+/// victim inbox park in the loop's send queue and retry at end-of-batch
+/// and on the idle tick — restructuring cannot be lost to admission
+/// control.
 pub(crate) struct CoordinatorState {
     level: u8,
     split: u64,
@@ -27,10 +31,15 @@ pub(crate) struct CoordinatorState {
     pending_merges: usize,
     /// Victim of the in-flight merge, retired on completion.
     merging_victim: Option<(u64, SiteId)>,
+    spawner: BucketSpawner,
+    /// Where split victims and merge partners are looked up, and merge
+    /// victims retired.
+    directory: Arc<Directory>,
+    obs: Registry,
 }
 
 impl CoordinatorState {
-    pub(crate) fn new() -> CoordinatorState {
+    pub(crate) fn new(spawner: BucketSpawner, directory: Arc<Directory>) -> CoordinatorState {
         CoordinatorState {
             level: 0,
             split: 0,
@@ -38,6 +47,9 @@ impl CoordinatorState {
             pending: 0,
             pending_merges: 0,
             merging_victim: None,
+            spawner,
+            directory,
+            obs: Registry::with_parent("coordinator", Registry::global()),
         }
     }
 
@@ -46,82 +58,11 @@ impl CoordinatorState {
         (self.level, self.split)
     }
 
-    /// Handles one message; may call the spawner to create bucket sites.
-    pub(crate) fn handle(
-        &mut self,
-        msg: Wire,
-        spawner: &mut BucketSpawner,
-        retirer: &mut BucketRetirer,
-        bucket_site: &dyn Fn(u64) -> Option<SiteId>,
-    ) -> Vec<(SiteId, Wire)> {
-        match msg {
-            Wire::Overflow { .. } => {
-                self.pending += 1;
-                self.try_start_work(spawner, retirer, bucket_site)
-            }
-            Wire::Underflow { .. } => {
-                self.pending_merges += 1;
-                self.try_start_work(spawner, retirer, bucket_site)
-            }
-            Wire::SplitDone { addr } => {
-                debug_assert_eq!(addr, self.split, "split completion out of order");
-                self.split += 1;
-                if self.split == 1u64 << self.level {
-                    self.level += 1;
-                    self.split = 0;
-                }
-                self.busy = false;
-                self.try_start_work(spawner, retirer, bucket_site)
-            }
-            Wire::MergeDone { addr } => {
-                debug_assert_eq!(
-                    Some(addr),
-                    self.merging_victim.map(|(a, _)| a),
-                    "merge completion out of order"
-                );
-                if self.split > 0 {
-                    self.split -= 1;
-                } else {
-                    self.level -= 1;
-                    self.split = (1u64 << self.level) - 1;
-                }
-                self.busy = false;
-                let mut out = Vec::new();
-                if let Some((_, site)) = self.merging_victim.take() {
-                    out.push((site, Wire::Shutdown)); // retire the site
-                }
-                out.extend(self.try_start_work(spawner, retirer, bucket_site));
-                out
-            }
-            Wire::ExtentReq { req_id, client } => vec![(
-                SiteId(client),
-                Wire::ExtentResp {
-                    req_id,
-                    level: self.level,
-                    split: self.split,
-                    busy: self.busy || self.pending > 0 || self.pending_merges > 0,
-                },
-            )],
-            Wire::AdoptFileState { level, split } => {
-                debug_assert!(!self.busy, "restore must precede traffic");
-                self.level = level;
-                self.split = split;
-                Vec::new()
-            }
-            _ => Vec::new(),
-        }
-    }
-
     /// Starts the next queued split or merge, splits first. (No pairwise
     /// cancellation: a bucket's overflow report is latched until it splits
     /// or receives a transfer, so dropping a queued split could leave an
     /// over-capacity bucket that never re-reports.)
-    fn try_start_work(
-        &mut self,
-        spawner: &mut BucketSpawner,
-        retirer: &mut BucketRetirer,
-        bucket_site: &dyn Fn(u64) -> Option<SiteId>,
-    ) -> Vec<(SiteId, Wire)> {
+    fn try_start_work(&mut self) -> Vec<(SiteId, Wire)> {
         if self.busy {
             return Vec::new();
         }
@@ -130,9 +71,10 @@ impl CoordinatorState {
             self.busy = true;
             let victim = self.split;
             let new_addr = extent(self.level, self.split); // n + 2^i
-            let new_site = spawner(new_addr, self.level + 1);
+            let new_site = (self.spawner)(new_addr, self.level + 1);
+            let victim_site = self.directory.bucket_site(victim);
             // lint: allow(panic-freedom) -- 0 <= split < extent always addresses a live bucket, and `LhCluster::open` publishes every recovered bucket's directory entry before any site thread can report an overflow
-            let victim_site = bucket_site(victim).expect("split victim exists");
+            let victim_site = victim_site.expect("split victim exists");
             return vec![(
                 victim_site,
                 Wire::SplitCmd {
@@ -155,14 +97,16 @@ impl CoordinatorState {
             } else {
                 (1u64 << (self.level - 1)) - 1
             };
-            let (Some(victim_site), Some(parent_site)) = (bucket_site(victim), bucket_site(parent))
-            else {
+            let (Some(victim_site), Some(parent_site)) = (
+                self.directory.bucket_site(victim),
+                self.directory.bucket_site(parent),
+            ) else {
                 return Vec::new(); // victim already retired (stale report)
             };
             self.busy = true;
             self.merging_victim = Some((victim, victim_site));
             // stop routing clients to the dissolving bucket
-            retirer(victim);
+            self.directory.clear_bucket(victim);
             return vec![(
                 victim_site,
                 Wire::MergeCmd {
@@ -176,117 +120,115 @@ impl CoordinatorState {
     }
 }
 
-/// The coordinator thread loop: batch-drained like the bucket loop (a
-/// drain budget of 1 is the historical single-message dispatch). Split
-/// and merge commands rejected by a full victim inbox park in the send
-/// queue and retry at end-of-batch and on the idle tick — restructuring
-/// cannot be lost to admission control.
-pub(crate) fn run_coordinator(
-    endpoint: Endpoint,
-    mut spawner: BucketSpawner,
-    mut retirer: BucketRetirer,
-    bucket_site: Box<dyn Fn(u64) -> Option<SiteId> + Send>,
-    drain_budget: usize,
-) {
-    let mut state = CoordinatorState::new();
-    let budget = drain_budget.max(1);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
-    let mut outbox = SendQueue::new();
-    let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
-    loop {
-        let idle = outbox.has_parked().then_some(IDLE_TICK);
-        match fill_batch(&endpoint, budget, idle, &mut batch) {
-            Wakeup::Batch => {}
-            Wakeup::Idle => {
-                outbox.flush(&endpoint);
-                continue;
+impl Site for CoordinatorState {
+    /// Handles one message; may call the spawner to create bucket sites.
+    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
+        match msg {
+            Wire::Overflow { .. } => {
+                self.pending += 1;
+                self.try_start_work()
             }
-            Wakeup::Disconnected => break,
-        }
-        health.busy();
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
+            Wire::Underflow { .. } => {
+                self.pending_merges += 1;
+                self.try_start_work()
             }
-            // Child span under the reporting site's context (inert for
-            // untraced traffic), so coordinator-ordered splits/merges
-            // chain into the trace of the operation that triggered them.
-            let span = sdds_obs::trace::remote_span(coord_span_name(&msg), env.ctx);
-            let out_ctx = span.context();
-            for (to, out) in state.handle(msg, &mut spawner, &mut retirer, bucket_site.as_ref()) {
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
+            Wire::SplitDone { addr } => {
+                debug_assert_eq!(addr, self.split, "split completion out of order");
+                self.split += 1;
+                if self.split == 1u64 << self.level {
+                    self.level += 1;
+                    self.split = 0;
+                }
+                self.busy = false;
+                self.try_start_work()
             }
-        }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
+            Wire::MergeDone { addr } => {
+                debug_assert_eq!(
+                    Some(addr),
+                    self.merging_victim.map(|(a, _)| a),
+                    "merge completion out of order"
+                );
+                if self.split > 0 {
+                    self.split -= 1;
+                } else {
+                    self.level -= 1;
+                    self.split = (1u64 << self.level) - 1;
+                }
+                self.busy = false;
+                let mut out = Vec::new();
+                if let Some((_, site)) = self.merging_victim.take() {
+                    out.push((site, Wire::Shutdown)); // retire the site
+                }
+                out.extend(self.try_start_work());
+                out
+            }
+            Wire::ExtentReq { req_id, client } => vec![(
+                SiteId(client),
+                Wire::ExtentResp {
+                    req_id,
+                    level: self.level,
+                    split: self.split,
+                    busy: self.busy || self.pending > 0 || self.pending_merges > 0,
+                },
+            )],
+            Wire::AdoptFileState { level, split } => {
+                debug_assert!(!self.busy, "restore must precede traffic");
+                self.level = level;
+                self.split = split;
+                Vec::new()
+            }
+            _ => Vec::new(),
         }
     }
-}
 
-/// Static span name for a message the coordinator handles.
-fn coord_span_name(msg: &Wire) -> &'static str {
-    match msg {
-        Wire::Overflow { .. } => "coord.overflow",
-        Wire::Underflow { .. } => "coord.underflow",
-        Wire::SplitDone { .. } => "coord.split_done",
-        Wire::MergeDone { .. } => "coord.merge_done",
-        Wire::ExtentReq { .. } => "coord.extent",
-        Wire::AdoptFileState { .. } => "coord.adopt_file_state",
-        _ => "coord.msg",
+    // Coordinator spans carry the reporting site's context, so
+    // coordinator-ordered splits and merges chain into the trace of the
+    // operation that triggered them.
+    fn span_name(&self, msg: &Wire) -> &'static str {
+        match msg {
+            Wire::Overflow { .. } => "coord.overflow",
+            Wire::Underflow { .. } => "coord.underflow",
+            Wire::SplitDone { .. } => "coord.split_done",
+            Wire::MergeDone { .. } => "coord.merge_done",
+            Wire::ExtentReq { .. } => "coord.extent",
+            Wire::AdoptFileState { .. } => "coord.adopt_file_state",
+            _ => "coord.msg",
+        }
+    }
+
+    fn obs(&self) -> &Registry {
+        &self.obs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
 
-    #[allow(clippy::type_complexity)]
-    fn harness() -> (
-        CoordinatorState,
-        BucketSpawner,
-        BucketRetirer,
-        Arc<Mutex<HashMap<u64, SiteId>>>,
-        Box<dyn Fn(u64) -> Option<SiteId>>,
-    ) {
-        let sites: Arc<Mutex<HashMap<u64, SiteId>>> =
-            Arc::new(Mutex::new(HashMap::from([(0u64, SiteId(100))])));
-        let s2 = sites.clone();
+    /// A coordinator over a one-bucket file (bucket 0 at site 100) whose
+    /// spawner places bucket `a` at site `100 + a`.
+    fn harness() -> (CoordinatorState, Arc<Directory>) {
+        let dir = Arc::new(Directory::new());
+        dir.set_bucket(0, SiteId(100));
+        let d = dir.clone();
         let spawner: BucketSpawner = Box::new(move |addr, _level| {
             let id = SiteId(100 + addr as u32);
-            s2.lock().unwrap().insert(addr, id);
+            d.set_bucket(addr, id);
             id
         });
-        let s4 = sites.clone();
-        let retirer: BucketRetirer = Box::new(move |addr| {
-            s4.lock().unwrap().remove(&addr);
-        });
-        let s3 = sites.clone();
-        let lookup = Box::new(move |addr: u64| s3.lock().unwrap().get(&addr).copied());
-        (CoordinatorState::new(), spawner, retirer, sites, lookup)
+        (CoordinatorState::new(spawner, dir.clone()), dir)
     }
 
     #[test]
     fn overflow_triggers_split_of_split_pointer() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         let out = st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 10,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, SiteId(100)); // bucket 0's site
@@ -302,35 +244,26 @@ mod tests {
 
     #[test]
     fn split_done_advances_pointer_and_level() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         // level 0: extent 1; after split of bucket 0, level = 1, split = 0
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert_eq!(st.file_state(), (1, 0));
         // next split victim is bucket 0 again, creating bucket 2
         let out = st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 1,
                 level: 1,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         assert_eq!(
             out[0].1,
@@ -340,48 +273,34 @@ mod tests {
                 new_site: 102
             }
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert_eq!(st.file_state(), (1, 1));
     }
 
     #[test]
     fn one_split_at_a_time_and_queueing() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         let first = st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         assert_eq!(first.len(), 1);
         // overflow during the running split queues
         let second = st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 12,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         assert!(second.is_empty(), "split must not start while one runs");
         // completion starts the queued split immediately
-        let third = st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let third = st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert_eq!(third.len(), 1);
         assert!(matches!(
             third[0].1,
@@ -395,48 +314,29 @@ mod tests {
 
     #[test]
     fn underflow_triggers_merge_of_last_bucket() {
-        let (mut st, mut spawner, mut retirer, sites, lookup) = harness();
+        let (mut st, dir) = harness();
         // grow the file to 3 buckets: (0,0) -> (1,0) -> (1,1)
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
-        st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 1,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert_eq!(st.file_state(), (1, 1));
         // underflow: merge bucket 2 back into its parent 0
-        let out = st.handle(
-            Wire::Underflow { addr: 1, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(SiteId(1), Wire::Underflow { addr: 1, size: 0 });
         assert_eq!(out.len(), 1);
         assert_eq!(
             out[0].1,
@@ -447,14 +347,9 @@ mod tests {
             }
         );
         // the victim was retired from the directory immediately
-        assert!(!sites.lock().unwrap().contains_key(&2));
+        assert_eq!(dir.bucket_site(2), None);
         // completion regresses the file state and shuts the site down
-        let out = st.handle(
-            Wire::MergeDone { addr: 2 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(SiteId(1), Wire::MergeDone { addr: 2 });
         assert_eq!(st.file_state(), (1, 0));
         assert!(out
             .iter()
@@ -463,31 +358,19 @@ mod tests {
 
     #[test]
     fn merge_across_level_boundary() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         // grow to exactly (1, 0): two buckets
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert_eq!(st.file_state(), (1, 0));
-        let out = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let out = st.handle(SiteId(1), Wire::Underflow { addr: 0, size: 0 });
         // merge bucket 1 into bucket 0, regressing to level 0
         assert_eq!(
             out[0].1,
@@ -497,24 +380,14 @@ mod tests {
                 into_site: 100
             }
         );
-        st.handle(
-            Wire::MergeDone { addr: 1 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::MergeDone { addr: 1 });
         assert_eq!(st.file_state(), (0, 0));
     }
 
     #[test]
     fn single_bucket_file_never_merges() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
-        let out = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let (mut st, _dir) = harness();
+        let out = st.handle(SiteId(1), Wire::Underflow { addr: 0, size: 0 });
         assert!(out.is_empty());
         assert_eq!(st.file_state(), (0, 0));
     }
@@ -524,59 +397,38 @@ mod tests {
         // Queued splits and merges both execute (no pairwise cancellation:
         // an overflow report is latched at the bucket, so dropping its
         // split could starve an over-capacity bucket forever).
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         // grow to 2 buckets first so a merge would be possible
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 0,
                 level: 0,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
-        st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         // start a split, then queue an underflow during it
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 1,
                 level: 1,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
-        let during = st.handle(
-            Wire::Underflow { addr: 0, size: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let during = st.handle(SiteId(1), Wire::Underflow { addr: 0, size: 0 });
         assert!(during.is_empty(), "busy: nothing starts");
         // queue one more overflow: it must run BEFORE the merge
         st.handle(
+            SiteId(1),
             Wire::Overflow {
                 addr: 1,
                 level: 1,
                 size: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
-        let after = st.handle(
-            Wire::SplitDone { addr: 0 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let after = st.handle(SiteId(1), Wire::SplitDone { addr: 0 });
         assert!(
             after
                 .iter()
@@ -584,12 +436,7 @@ mod tests {
             "queued split starts next: {after:?}"
         );
         // and once that split finishes, the queued merge runs
-        let finally = st.handle(
-            Wire::SplitDone { addr: 1 },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
-        );
+        let finally = st.handle(SiteId(1), Wire::SplitDone { addr: 1 });
         assert!(
             finally
                 .iter()
@@ -600,15 +447,13 @@ mod tests {
 
     #[test]
     fn extent_request_reports_file_state() {
-        let (mut st, mut spawner, mut retirer, _sites, lookup) = harness();
+        let (mut st, _dir) = harness();
         let out = st.handle(
+            SiteId(1),
             Wire::ExtentReq {
                 req_id: 5,
                 client: 9,
             },
-            &mut spawner,
-            &mut retirer,
-            lookup.as_ref(),
         );
         assert_eq!(
             out,

@@ -46,6 +46,7 @@ mod messages;
 mod obs_client;
 mod parity;
 mod serve;
+mod site;
 
 pub use client::{LhClient, LhError, RetryPolicy};
 pub use cluster::{

@@ -13,10 +13,12 @@
 //! members plus the parity rows and solves the code; any `m` simultaneous
 //! failures per group are survivable.
 
-use crate::drain::{fill_batch, SendQueue, Wakeup};
 use crate::messages::{ParityRow, Wire};
+use crate::site::Site;
 use sdds_gf::rs::ReedSolomon;
-use sdds_net::{Endpoint, Envelope, SiteId};
+use sdds_net::SiteId;
+use sdds_obs::trace::SpanGuard;
+use sdds_obs::Registry;
 
 /// Encodes a value into its fixed slot: two little-endian length bytes,
 /// the payload, zero padding.
@@ -60,6 +62,7 @@ pub(crate) struct ParityState {
     slot_size: usize,
     rs: ReedSolomon,
     rows: Vec<Row>,
+    obs: Registry,
 }
 
 struct Row {
@@ -83,6 +86,10 @@ impl ParityState {
             // lint: allow(panic-freedom) -- ClusterConfig validation caps k and m well inside RS's k>=1, k+m<=256 domain
             rs: ReedSolomon::new(k, m).expect("validated parity parameters"),
             rows: Vec::new(),
+            obs: Registry::with_parent(
+                format!("parity-{group}-{parity_index}"),
+                Registry::global(),
+            ),
         }
     }
 
@@ -120,8 +127,13 @@ impl ParityState {
             })
             .collect()
     }
+}
 
-    pub(crate) fn handle(&mut self, msg: Wire) -> Vec<(SiteId, Wire)> {
+/// A parity site streams in slot deltas from a splitting group at high
+/// fan-in, and only ever emits client-bound `ParityState` replies
+/// (recovery re-reads on loss).
+impl Site for ParityState {
+    fn handle(&mut self, _from: SiteId, msg: Wire) -> Vec<(SiteId, Wire)> {
         match msg {
             Wire::ParityUpdate {
                 group,
@@ -152,51 +164,23 @@ impl ParityState {
             _ => Vec::new(),
         }
     }
-}
 
-/// The parity-site thread loop: batch-drained like the bucket loop. A
-/// slot-delta stream from a splitting group arrives at high fan-in, so
-/// amortizing the wakeup over a batch matters here too. Parity sites
-/// only ever emit client-bound `ParityState` replies (recovery re-reads
-/// on loss), so no idle tick is needed.
-pub(crate) fn run_parity(endpoint: Endpoint, mut state: ParityState, drain_budget: usize) {
-    let budget = drain_budget.max(1);
-    let mut batch: Vec<Envelope> = Vec::with_capacity(budget);
-    let mut outbox = SendQueue::new();
-    let mut health = crate::health::LoopHealth::register(sdds_obs::Registry::global());
-    while let Wakeup::Batch = fill_batch(&endpoint, budget, None, &mut batch) {
-        health.busy();
-        let mut shutdown = false;
-        for env in batch.drain(..) {
-            let Some(msg) = Wire::decode(&env.payload) else {
-                continue;
-            };
-            if matches!(msg, Wire::Shutdown) {
-                shutdown = true;
-                break;
-            }
-            // Child span under the sender's context (inert for untraced
-            // traffic): parity updates triggered by a traced insert/delete
-            // and parity reads during recovery stay inside the operation's
-            // trace.
-            let name = match &msg {
-                Wire::ParityUpdate { .. } => "parity.update",
-                Wire::ParityRead { .. } => "parity.read",
-                _ => "parity.msg",
-            };
-            let mut span = sdds_obs::trace::remote_span(name, env.ctx);
-            span.set_site(endpoint.id().0 as i64);
-            let out_ctx = span.context();
-            for (to, out) in state.handle(msg) {
-                let payload = out.encode();
-                outbox.send(&endpoint, to, &out, payload, out_ctx);
-            }
+    // Parity updates triggered by a traced insert/delete and parity reads
+    // during recovery stay inside the operation's trace.
+    fn span_name(&self, msg: &Wire) -> &'static str {
+        match msg {
+            Wire::ParityUpdate { .. } => "parity.update",
+            Wire::ParityRead { .. } => "parity.read",
+            _ => "parity.msg",
         }
-        outbox.flush(&endpoint);
-        health.idle();
-        if shutdown {
-            break;
-        }
+    }
+
+    fn label_span(&self, me: SiteId, _msg: &Wire, span: &mut SpanGuard) {
+        span.set_site(me.0 as i64);
+    }
+
+    fn obs(&self) -> &Registry {
+        &self.obs
     }
 }
 

@@ -9,24 +9,37 @@
 //! identity and the registry's modular partition decides which process
 //! answers. [`TcpCluster`] is the client-side hub: it dials the same
 //! registry and hands out ordinary [`LhClient`]s whose messages now
-//! cross real sockets.
+//! cross real sockets. A rank's sites live in the same `Sites` lifecycle
+//! as an in-process cluster's, so both shut down the same way.
 //!
 //! Scope: parity (LH\*<sub>RS</sub>), kill/recover and snapshot/restore
 //! remain channel-transport features — they need the cluster-wide
 //! directory and spawner a single process provides. `serve` rejects
-//! parity configs. Merges retire addresses only in the serving
-//! processes' directories; a long-lived client that keeps addressing a
-//! merged-away bucket sees the send fail and recovers through its
-//! normal retry path (ingest/search workloads never delete, so this is
-//! theoretical).
+//! parity configs.
+//!
+//! Merges do happen over TCP (deleting workloads such as perfbench
+//! `serve` and bench-traffic's default mix shrink the file), but they
+//! retire addresses only in the serving processes' directories. A
+//! client's image never shrinks, so a client that learned a merged-away
+//! bucket keeps addressing it:
+//! 1. its send succeeds locally, and the owning rank answers with an
+//!    `Unroutable` NACK (at once for the first message after the site
+//!    exits; after holding that connection's reader for up to the 2 s
+//!    spawn grace for later ones, since the id is owned but unregistered).
+//!    The request is lost and the NACK is recorded as a debt;
+//! 2. the attempt times out (a fifth of the client's operation timeout);
+//! 3. the next send to that bucket fails on the debt, so the client
+//!    resends through bucket 0, which forwards the request to its true
+//!    bucket.
+//!
+//! Every operation on that key range pays at least one lost attempt.
 
 use crate::client::{LhClient, LhError};
 use crate::cluster::{send_control, ClusterConfig, Directory, ObsOptions, SiteBuilder};
-use crate::coordinator::{run_coordinator, BucketRetirer, BucketSpawner};
+use crate::coordinator::{BucketSpawner, CoordinatorState};
 use crate::health;
-use crate::messages::Wire;
+use crate::site::Sites;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use sdds_net::{Endpoint, NetConfig, NetError, Network, SiteId, SiteRegistry, COORD_ID};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -120,26 +133,17 @@ impl ServeHandle {
     }
 }
 
-/// Everything a host needs to materialise a bucket site locally.
-struct SiteHost {
-    network: Network,
-    builder: SiteBuilder,
-    /// Locally hosted sites that accept [`Wire::Shutdown`].
-    local_sites: Arc<Mutex<Vec<SiteId>>>,
-}
-
-impl SiteHost {
-    /// Registers bucket `addr` under its static id and starts its site
-    /// thread. Returns `false` when the id is already taken in this
-    /// process (a duplicate `Spawn` — first one wins).
-    fn spawn_bucket(&self, addr: u64, level: u8) -> bool {
-        let Some(ep) = self.network.register_with_id(SiteRegistry::bucket_id(addr)) else {
-            return false;
-        };
-        self.local_sites.lock().push(ep.id());
-        self.builder.launch(addr, level, ep);
-        true
-    }
+/// Registers bucket `addr` under its static id and starts its site.
+/// Returns `false` when the id is already taken in this process (a
+/// duplicate `Spawn` — first one wins).
+fn spawn_bucket(builder: &SiteBuilder, addr: u64, level: u8) -> bool {
+    let Some(ep) = builder
+        .network()
+        .register_with_id(SiteRegistry::bucket_id(addr))
+    else {
+        return false;
+    };
+    builder.launch(addr, level, ep)
 }
 
 /// Starts this process's share of a multi-process LH\* cluster and
@@ -167,52 +171,31 @@ pub fn serve(
     let network = Network::tcp_serve(registry.clone(), rank, config.net.clone())
         .map_err(|e| LhError::Rejected(format!("rank {rank}: bind failed: {e}")))?;
     let directory = Arc::new(Directory::new_static());
-    let handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    // SiteBuilder's own shutdown list is unused here (we track local
-    // sites ourselves: the builder only records ids it registered, and
-    // on TCP the host registers endpoints before handing them over).
-    let builder_shutdown: Arc<Mutex<Vec<SiteId>>> = Arc::new(Mutex::new(Vec::new()));
-    let builder = SiteBuilder::new(
+    let sites = Sites::new(config.drain_budget);
+    let builder = Arc::new(SiteBuilder::new(
         &network,
+        &sites,
         &directory,
         &config,
         SiteId(COORD_ID),
-        &handles,
-        &builder_shutdown,
-    );
-    let host = Arc::new(SiteHost {
-        network: network.clone(),
-        builder,
-        local_sites: Arc::new(Mutex::new(Vec::new())),
-    });
+    ));
 
     if rank == 0 {
         let coordinator_ep = network
             .register_with_id(SiteId(COORD_ID))
             .ok_or_else(|| LhError::Rejected("coordinator id already registered".into()))?;
-        host.local_sites.lock().push(coordinator_ep.id());
         // The primordial bucket lives wherever address 0 hashes — which
         // is always rank 0 (`0 % n == 0`).
-        host.spawn_bucket(0, 0);
-
-        let spawner = make_tcp_spawner(registry.clone(), host.clone(), directory.clone());
-        let dir = directory.clone();
-        let retirer: BucketRetirer = Box::new(move |addr| dir.clear_bucket(addr));
-        let dir = directory.clone();
-        let lookup = Box::new(move |addr: u64| dir.bucket_site(addr));
-        let budget = config.drain_budget;
-        handles.lock().push(std::thread::spawn(move || {
-            run_coordinator(coordinator_ep, spawner, retirer, lookup, budget)
-        }));
+        spawn_bucket(&builder, 0, 0);
+        let spawner = make_tcp_spawner(registry.clone(), builder.clone(), directory.clone());
+        sites.spawn_coordinator(coordinator_ep, CoordinatorState::new(spawner, directory));
     }
 
     let host_ep = network
         .register_with_id(SiteRegistry::host_id(rank))
         .ok_or_else(|| LhError::Rejected("host id already registered".into()))?;
-    let loop_host = host.clone();
-    let loop_handles = handles.clone();
     let obs = config.obs.clone();
-    let h = std::thread::spawn(move || host_loop(host_ep, loop_host, loop_handles, rank, obs));
+    let h = std::thread::spawn(move || host_loop(host_ep, &builder, &sites, rank, obs));
     Ok(ServeHandle { host: h })
 }
 
@@ -298,13 +281,7 @@ fn spans_jsonl() -> String {
 /// this rank, severs connections on request, answers observability
 /// scrapes, runs the periodic obs tick, and tears the process's sites
 /// down on shutdown.
-fn host_loop(
-    ep: Endpoint,
-    host: Arc<SiteHost>,
-    handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    rank: usize,
-    obs: ObsOptions,
-) {
+fn host_loop(ep: Endpoint, builder: &SiteBuilder, sites: &Sites, rank: usize, obs: ObsOptions) {
     let mut ticker = ObsTicker::new(obs);
     let tick = ticker.opts.tick.max(Duration::from_millis(1));
     let mut next_tick = Instant::now() + tick;
@@ -321,12 +298,12 @@ fn host_loop(
         };
         match HostMsg::decode(&env.payload) {
             Some(HostMsg::Spawn { addr, level }) => {
-                let fresh = host.spawn_bucket(addr, level);
+                let fresh = spawn_bucket(builder, addr, level);
                 if !fresh {
                     sdds_obs::counter("lh.serve.duplicate_spawns").inc();
                 }
             }
-            Some(HostMsg::DropConns) => host.network.drop_connections(),
+            Some(HostMsg::DropConns) => builder.network().drop_connections(),
             Some(HostMsg::ObsPull {
                 req_id,
                 reply_to,
@@ -365,13 +342,7 @@ fn host_loop(
             None => {}
         }
     }
-    for site in host.local_sites.lock().drain(..) {
-        let _ = send_control(&ep, site, Wire::Shutdown.encode());
-    }
-    let joins: Vec<JoinHandle<()>> = handles.lock().drain(..).collect();
-    for h in joins {
-        let _ = h.join();
-    }
+    sites.shutdown(&ep);
 }
 
 /// The coordinator's bucket spawner over TCP: local addresses
@@ -383,18 +354,18 @@ fn host_loop(
 /// owned ids during a spawn grace window, so the race is benign).
 fn make_tcp_spawner(
     registry: SiteRegistry,
-    host: Arc<SiteHost>,
+    builder: Arc<SiteBuilder>,
     directory: Arc<Directory>,
 ) -> BucketSpawner {
     // Dynamic endpoint for host-control sends; its hello broadcast makes
     // it routable from every rank.
-    let control = host.network.register();
+    let control = builder.network().register();
     Box::new(move |addr: u64, level: u8| {
         let id = SiteRegistry::bucket_id(addr);
         // lint: allow(panic-freedom) -- bucket ids are below DYN_BASE, always owned by some rank
         let owner = registry.owner_rank(id).expect("bucket id has an owner");
         if owner == 0 {
-            host.spawn_bucket(addr, level);
+            spawn_bucket(&builder, addr, level);
         } else {
             let msg = HostMsg::Spawn { addr, level }.encode();
             if send_control(&control, SiteRegistry::host_id(owner), msg).is_err() {

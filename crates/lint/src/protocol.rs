@@ -24,7 +24,7 @@
 //! inside a `matches!(..)` call, followed by `=>` (with an optional
 //! guard), by `|` alternation, or by a single `=` (refutable `let`);
 //! every other occurrence is a *construction* (a send). Patterns in the
-//! five protocol actor files count as handles; constructions anywhere in
+//! six protocol actor files count as handles; constructions anywhere in
 //! `crates/lh/src` (except the codec) count as sends.
 
 use crate::rules::{is_allowed, Diagnostic};
@@ -44,20 +44,24 @@ pub const PROTOCOL_RULES: [&str; 4] = [
 const CODEC_FILE: &str = "crates/lh/src/messages.rs";
 
 /// Files whose `Wire` patterns count as protocol handlers: the three site
-/// event loops plus the client/cluster sides that consume replies.
-const HANDLER_FILES: [&str; 5] = [
+/// handlers and the one event loop that drives them, plus the
+/// client/cluster sides that consume replies.
+const HANDLER_FILES: [&str; 6] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/client.rs",
     "crates/lh/src/cluster.rs",
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
+    "crates/lh/src/site.rs",
 ];
 
-/// The site event loops: reply-obligation and must-land apply here.
-const LOOP_FILES: [&str; 3] = [
+/// The site handlers and their event loop: reply-obligation and
+/// must-land apply here.
+const LOOP_FILES: [&str; 4] = [
     "crates/lh/src/bucket.rs",
     "crates/lh/src/coordinator.rs",
     "crates/lh/src/parity.rs",
+    "crates/lh/src/site.rs",
 ];
 
 /// Request-shaped variants and the response each handler must emit.
